@@ -216,11 +216,7 @@ fn bench_speedup_gate(c: &mut Criterion) {
     g.finish();
 }
 
-/// Hand-rolled JSON (DESIGN.md §6: no serde) under the workspace's
-/// `bench_results/`. Whichever run happened last owns the file — that is
-/// the artifact CI surfaces — and the `mode` field records whether a debug
-/// smoke or a release bench produced the numbers, so readers comparing
-/// across PRs never mistake one for the other.
+/// Writes `bench_results/BENCH_ingest.json`.
 fn write_bench_json(
     speedup: f64,
     rows_per_sec: f64,
@@ -228,26 +224,15 @@ fn write_bench_json(
     transpose_ms: f64,
     transpose_mrows_per_sec: f64,
 ) {
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../bench_results");
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("ingest_throughput: cannot create {}: {e}", dir.display());
-        return;
-    }
-    let mode = if cfg!(debug_assertions) { "debug" } else { "release" };
-    let json = format!(
-        "{{\n  \"bench\": \"ingest_throughput\",\n  \"mode\": \"{mode}\",\n  \
-         \"rows_total\": {TOTAL_ROWS},\n  \"dims\": {DIMS},\n  \
+    let fields = format!(
+        "  \"rows_total\": {TOTAL_ROWS},\n  \"dims\": {DIMS},\n  \
          \"batch_rows\": {BATCH_ROWS},\n  \"queries_per_batch\": {QUERIES_PER_BATCH},\n  \
          \"rows_per_sec\": {rows_per_sec:.1},\n  \"queries_per_sec\": {queries_per_sec:.1},\n  \
          \"transpose_build_ms\": {transpose_ms:.2},\n  \
          \"transpose_mrows_per_sec\": {transpose_mrows_per_sec:.2},\n  \
-         \"speedup_vs_retranspose\": {speedup:.2}\n}}\n"
+         \"speedup_vs_retranspose\": {speedup:.2}\n"
     );
-    let path = dir.join("BENCH_ingest.json");
-    match std::fs::write(&path, json) {
-        Ok(()) => println!("ingest_throughput: wrote {}", path.display()),
-        Err(e) => eprintln!("ingest_throughput: cannot write {}: {e}", path.display()),
-    }
+    ifs_bench::write_bench_json("ingest_throughput", "BENCH_ingest.json", &fields);
 }
 
 criterion_group!(benches, bench_ingest_paths, bench_speedup_gate);

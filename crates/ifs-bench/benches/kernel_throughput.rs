@@ -125,13 +125,8 @@ fn assert_kernel_identity(a: &[u64], b: &[u64], c: &[u64]) {
     }
 }
 
+/// Writes `bench_results/BENCH_kernels.json`.
 fn write_bench_json(measured: &[Measured], min_and_family: f64) {
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../bench_results");
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("kernel_throughput: cannot create {}: {e}", dir.display());
-        return;
-    }
-    let mode = if cfg!(debug_assertions) { "debug" } else { "release" };
     let mut kernels = String::new();
     for (i, m) in measured.iter().enumerate() {
         let sep = if i + 1 == measured.len() { "" } else { "," };
@@ -141,17 +136,12 @@ fn write_bench_json(measured: &[Measured], min_and_family: f64) {
             m.name, m.scalar_mword_s, m.wide_mword_s, m.speedup
         ));
     }
-    let json = format!(
-        "{{\n  \"bench\": \"kernel_throughput\",\n  \"mode\": \"{mode}\",\n  \
-         \"words\": {},\n  \"identity_checked\": true,\n  \
-         \"min_and_family_speedup\": {min_and_family:.2},\n  \"kernels\": [\n{kernels}  ]\n}}\n",
+    let fields = format!(
+        "  \"words\": {},\n  \"identity_checked\": true,\n  \
+         \"min_and_family_speedup\": {min_and_family:.2},\n  \"kernels\": [\n{kernels}  ]\n",
         WORDS + TAIL
     );
-    let path = dir.join("BENCH_kernels.json");
-    match std::fs::write(&path, json) {
-        Ok(()) => println!("kernel_throughput: wrote {}", path.display()),
-        Err(e) => eprintln!("kernel_throughput: cannot write {}: {e}", path.display()),
-    }
+    ifs_bench::write_bench_json("kernel_throughput", "BENCH_kernels.json", &fields);
 }
 
 fn bench_kernels(c: &mut Criterion) {

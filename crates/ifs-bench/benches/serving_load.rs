@@ -16,10 +16,7 @@
 //!
 //! The gate emits `bench_results/BENCH_serving.json` (p50/p99/p99.9
 //! batch latency, queries/sec) so the serving tier's perf trajectory is
-//! machine-readable across PRs. The standalone `ifs-loadgen` binary
-//! measures the same workload *across a real TCP connection* and, when CI
-//! runs it after this bench, overwrites the artifact with two-process
-//! numbers — the `source` field records which path produced them.
+//! machine-readable across PRs; it is that file's only producer.
 //!
 //! Run with `cargo bench -p ifs-bench --bench serving_load`; under
 //! `cargo test --benches` each body runs once as a smoke test.
@@ -30,6 +27,7 @@ use ifs_database::{generators, Itemset};
 use ifs_serve::{
     Answers, EncodeBuf, QueryMode, Request, Response, ServeConfig, ServedSketch, SketchServer,
 };
+use ifs_util::stats::quantile;
 use ifs_util::Rng64;
 use std::hint::black_box;
 use std::time::Instant;
@@ -133,14 +131,6 @@ fn assert_serving_invariants(frames: &[Vec<u8>]) {
     assert!(matches!(Response::from_bytes(&unknown), Ok(Response::Error(_))));
 }
 
-fn percentile_ms(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((p / 100.0) * (sorted.len() - 1) as f64).round() as usize;
-    sorted[idx]
-}
-
 /// The timed half: a warm server under round-robin batched load, measured
 /// through the byte-level `handle` path.
 fn run_load(frames: &[Vec<u8>]) -> (f64, f64, f64, f64) {
@@ -159,7 +149,7 @@ fn run_load(frames: &[Vec<u8>]) -> (f64, f64, f64, f64) {
         })
         .collect();
     // One connection's reusable buffers: the timed path is `handle_into`,
-    // exactly what `serve_connection` runs per request once warm.
+    // the call a warm connection makes per request.
     let mut buf = EncodeBuf::new();
     let mut latencies_ms = Vec::with_capacity(BATCHES);
     let started = Instant::now();
@@ -171,39 +161,25 @@ fn run_load(frames: &[Vec<u8>]) -> (f64, f64, f64, f64) {
     }
     let elapsed = started.elapsed().as_secs_f64();
     let qps = (BATCHES * BATCH_SIZE) as f64 / elapsed.max(1e-9);
-    latencies_ms.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
     (
-        percentile_ms(&latencies_ms, 50.0),
-        percentile_ms(&latencies_ms, 99.0),
-        percentile_ms(&latencies_ms, 99.9),
+        quantile(&latencies_ms, 0.5),
+        quantile(&latencies_ms, 0.99),
+        quantile(&latencies_ms, 0.999),
         qps,
     )
 }
 
-/// Hand-rolled JSON (DESIGN.md §6: no serde) under the workspace's
-/// `bench_results/`; the `mode` field records debug smoke vs release
-/// bench, and `source` records in-process bench vs the TCP loadgen.
+/// Writes `bench_results/BENCH_serving.json` (`source` names the in-process bench).
 fn write_bench_json(p50_ms: f64, p99_ms: f64, p999_ms: f64, qps: f64) {
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../bench_results");
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("serving_load: cannot create {}: {e}", dir.display());
-        return;
-    }
-    let mode = if cfg!(debug_assertions) { "debug" } else { "release" };
     let queries_total = BATCHES * BATCH_SIZE;
-    let json = format!(
-        "{{\n  \"bench\": \"serving_load\",\n  \"mode\": \"{mode}\",\n  \
-         \"source\": \"bench\",\n  \"sketches\": 3,\n  \"connections\": 1,\n  \
+    let fields = format!(
+        "  \"source\": \"bench\",\n  \"sketches\": 3,\n  \"connections\": 1,\n  \
          \"pipeline_depth\": 1,\n  \"batches\": {BATCHES},\n  \
          \"batch_size\": {BATCH_SIZE},\n  \"queries_total\": {queries_total},\n  \
          \"p50_ms\": {p50_ms:.3},\n  \"p99_ms\": {p99_ms:.3},\n  \"p999_ms\": {p999_ms:.3},\n  \
-         \"queries_per_sec\": {qps:.1},\n  \"identity_checked\": true\n}}\n"
+         \"queries_per_sec\": {qps:.1},\n  \"identity_checked\": true\n"
     );
-    let path = dir.join("BENCH_serving.json");
-    match std::fs::write(&path, json) {
-        Ok(()) => println!("serving_load: wrote {}", path.display()),
-        Err(e) => eprintln!("serving_load: cannot write {}: {e}", path.display()),
-    }
+    ifs_bench::write_bench_json("serving_load", "BENCH_serving.json", &fields);
 }
 
 fn bench_serving_load(c: &mut Criterion) {

@@ -153,16 +153,8 @@ fn bench_measurement_gate(c: &mut Criterion) {
     g.finish();
 }
 
-/// Hand-rolled JSON (DESIGN.md §6: no serde) under the workspace's
-/// `bench_results/`, mirroring `BENCH_ingest.json`: the `mode` field keeps
-/// debug smoke numbers from ever being read as release measurements.
+/// Writes `bench_results/BENCH_snapshot.json`.
 fn write_bench_json(entries: &[Entry]) {
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../bench_results");
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("snapshot_roundtrip: cannot create {}: {e}", dir.display());
-        return;
-    }
-    let mode = if cfg!(debug_assertions) { "debug" } else { "release" };
     let mut sketches = String::new();
     for (i, e) in entries.iter().enumerate() {
         let sep = if i + 1 == entries.len() { "" } else { "," };
@@ -172,16 +164,11 @@ fn write_bench_json(entries: &[Entry]) {
             e.name, e.bytes, e.size_bits, e.encode_mbps, e.decode_mbps
         ));
     }
-    let json = format!(
-        "{{\n  \"bench\": \"snapshot_roundtrip\",\n  \"mode\": \"{mode}\",\n  \
-         \"rows_total\": {TOTAL_ROWS},\n  \"dims\": {DIMS},\n  \
-         \"sample_rows\": {SAMPLE_ROWS},\n  \"sketches\": [\n{sketches}  ]\n}}\n"
+    let fields = format!(
+        "  \"rows_total\": {TOTAL_ROWS},\n  \"dims\": {DIMS},\n  \
+         \"sample_rows\": {SAMPLE_ROWS},\n  \"sketches\": [\n{sketches}  ]\n"
     );
-    let path = dir.join("BENCH_snapshot.json");
-    match std::fs::write(&path, json) {
-        Ok(()) => println!("snapshot_roundtrip: wrote {}", path.display()),
-        Err(e) => eprintln!("snapshot_roundtrip: cannot write {}: {e}", path.display()),
-    }
+    ifs_bench::write_bench_json("snapshot_roundtrip", "BENCH_snapshot.json", &fields);
 }
 
 criterion_group!(benches, bench_codec_paths, bench_measurement_gate);

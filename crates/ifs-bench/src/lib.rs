@@ -20,6 +20,31 @@ pub mod e_workloads;
 
 use ifs_util::table::Table;
 
+/// Writes one bench artifact as `bench_results/<file>` at the workspace
+/// root, creating the directory if needed, and reports the outcome on
+/// stdout/stderr prefixed with `bench`. The JSON is hand-rolled
+/// (DESIGN.md §6: no serde): it opens with the `"bench"` name and the
+/// build profile as `"mode"` (`"debug"` for the `cargo test --benches`
+/// smoke pass, `"release"` for `cargo bench`), so debug numbers are never
+/// read as release measurements, then `fields` — the remaining members,
+/// one per line, two-space indented, each line ending in a newline. A
+/// write failure is reported, not fatal: the bench's gates have already
+/// run.
+pub fn write_bench_json(bench: &str, file: &str, fields: &str) {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../bench_results");
+    if let Err(e) = std::fs::create_dir_all(&dir) {
+        eprintln!("{bench}: cannot create {}: {e}", dir.display());
+        return;
+    }
+    let mode = if cfg!(debug_assertions) { "debug" } else { "release" };
+    let json = format!("{{\n  \"bench\": \"{bench}\",\n  \"mode\": \"{mode}\",\n{fields}}}\n");
+    let path = dir.join(file);
+    match std::fs::write(&path, json) {
+        Ok(()) => println!("{bench}: wrote {}", path.display()),
+        Err(e) => eprintln!("{bench}: cannot write {}: {e}", path.display()),
+    }
+}
+
 /// All experiment ids in order.
 pub const ALL_EXPERIMENTS: [&str; 13] =
     ["e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13"];

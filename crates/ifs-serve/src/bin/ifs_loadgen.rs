@@ -7,8 +7,6 @@
 //! ifs-loadgen --connect ADDR [--assume-loaded] [--connections N]
 //!             [--pipeline M] [--batches N] [--batch-size N] [--threads N]
 //!             [--seed N] [--json PATH]
-//! ifs-loadgen --bench-matrix [--connections N] [--pipeline M]
-//!             [--batches N] [--batch-size N] [--seed N] [--json PATH]
 //! ```
 //!
 //! The first form writes the demo sketch fleet (one frame per servable
@@ -29,13 +27,6 @@
 //! `Overloaded` refusal is retried (and counted), so backpressure under
 //! saturation shows up as `overload_retries`, not as a failed run.
 //!
-//! The third form is the perf-trajectory harness: it spins up in-process
-//! servers over loopback TCP — thread-per-connection and pooled, at
-//! engine thread counts 1 and 4 — drives each with the identical
-//! workload, and writes one JSON with all four runs plus each pooled
-//! run's speedup over its thread-count-matched baseline. That file is
-//! the committed `bench_results/BENCH_serving.json`.
-//!
 //! Latency is measured per batch round-trip; p50/p99/p99.9 and aggregate
 //! queries/sec land in `--json PATH` with a `mode` field recording
 //! whether a debug or release build produced the numbers, plus the
@@ -43,13 +34,10 @@
 
 use ifs_core::{ReleaseAnswersEstimator, ReleaseAnswersIndicator, ReleaseDb, Snapshot, Subsample};
 use ifs_database::{generators, Itemset};
-use ifs_serve::{
-    net, pool, Answers, Client, PoolConfig, QueryMode, Request, Response, ServeConfig,
-    ServedSketch, SketchServer,
-};
+use ifs_serve::{Answers, Client, QueryMode, Request, Response, ServedSketch};
+use ifs_util::stats::quantile;
 use ifs_util::Rng64;
 use std::collections::VecDeque;
-use std::net::TcpListener;
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -57,9 +45,7 @@ const USAGE: &str = "usage: ifs-loadgen --write-snapshots FILE [--seed N]\n     
                      ifs-loadgen --write-log FILE [--seed N]\n       \
                      ifs-loadgen --connect ADDR [--assume-loaded] [--connections N] \
                      [--pipeline M] [--batches N] [--batch-size N] [--threads N] [--seed N] \
-                     [--json PATH]\n       \
-                     ifs-loadgen --bench-matrix [--connections N] [--pipeline M] [--batches N] \
-                     [--batch-size N] [--seed N] [--json PATH]";
+                     [--json PATH]";
 
 /// Fleet shape: one database, one sketch per servable kind.
 const FLEET_ROWS: usize = 400;
@@ -73,7 +59,6 @@ struct Args {
     write_snapshots: Option<String>,
     write_log: Option<String>,
     connect: Option<String>,
-    bench_matrix: bool,
     assume_loaded: bool,
     connections: usize,
     pipeline: usize,
@@ -89,7 +74,6 @@ fn parse_args() -> Result<Args, String> {
         write_snapshots: None,
         write_log: None,
         connect: None,
-        bench_matrix: false,
         assume_loaded: false,
         connections: 1,
         pipeline: 1,
@@ -106,7 +90,6 @@ fn parse_args() -> Result<Args, String> {
             "--write-snapshots" => args.write_snapshots = Some(value("--write-snapshots")?),
             "--write-log" => args.write_log = Some(value("--write-log")?),
             "--connect" => args.connect = Some(value("--connect")?),
-            "--bench-matrix" => args.bench_matrix = true,
             "--assume-loaded" => args.assume_loaded = true,
             "--connections" => {
                 args.connections =
@@ -135,15 +118,14 @@ fn parse_args() -> Result<Args, String> {
     }
     let modes = args.write_snapshots.is_some() as u8
         + args.write_log.is_some() as u8
-        + args.connect.is_some() as u8
-        + args.bench_matrix as u8;
+        + args.connect.is_some() as u8;
     if modes != 1 {
         return Err(format!(
-            "exactly one of --write-snapshots, --write-log, --connect, or --bench-matrix\n{USAGE}"
+            "exactly one of --write-snapshots, --write-log, or --connect\n{USAGE}"
         ));
     }
-    if args.connections == 0 || args.pipeline == 0 {
-        return Err("--connections and --pipeline must be at least 1".into());
+    if args.connections == 0 || args.pipeline == 0 || args.batches == 0 {
+        return Err("--connections, --pipeline and --batches must be at least 1".into());
     }
     Ok(args)
 }
@@ -255,24 +237,6 @@ fn identical(served: &Response, oracle: &Answers) -> bool {
     }
 }
 
-fn percentile_ms(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((p / 100.0) * (sorted.len() - 1) as f64).round() as usize;
-    sorted[idx]
-}
-
-/// The shape of one measured run.
-struct RunShape {
-    connections: usize,
-    pipeline: usize,
-    batches: usize,
-    batch_size: usize,
-    threads: usize,
-    seed: u64,
-}
-
 /// What one run measured.
 struct Measured {
     p50_ms: f64,
@@ -289,15 +253,14 @@ struct Measured {
 fn drive_connection(
     addr: &str,
     oracle: &[ServedSketch],
-    shape: &RunShape,
+    args: &Args,
     conn_index: usize,
 ) -> Result<(Vec<f64>, u64), String> {
     let mut client = Client::connect(addr, 10_000)
         .map_err(|e| format!("connection {conn_index}: {addr}: {e}"))?;
-    let mut rng = Rng64::seeded(
-        shape.seed ^ 0x10AD ^ (conn_index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-    );
-    let mut latencies_ms = Vec::with_capacity(shape.batches);
+    let mut rng =
+        Rng64::seeded(args.seed ^ 0x10AD ^ (conn_index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    let mut latencies_ms = Vec::with_capacity(args.batches);
     let mut retries = 0u64;
     // Requests awaiting an answer (responses arrive strictly in send
     // order) and requests refused with `Overloaded`, to re-send.
@@ -305,8 +268,8 @@ fn drive_connection(
     let mut resend: VecDeque<(Request, Answers)> = VecDeque::new();
     let mut built = 0usize;
     let mut answered = 0usize;
-    while answered < shape.batches {
-        while outstanding.len() < shape.pipeline && (built < shape.batches || !resend.is_empty()) {
+    while answered < args.batches {
+        while outstanding.len() < args.pipeline && (built < args.batches || !resend.is_empty()) {
             let (request, expected) = match resend.pop_front() {
                 Some(pair) => pair,
                 None => {
@@ -316,7 +279,7 @@ fn drive_connection(
                     let sketch = &oracle[id];
                     let modes = supported_modes(sketch);
                     let mode = modes[(b / oracle.len()) % modes.len()];
-                    let queries = batch_for(sketch, shape.batch_size, &mut rng);
+                    let queries = batch_for(sketch, args.batch_size, &mut rng);
                     let expected =
                         sketch.answer(mode, &queries).map_err(|e| format!("oracle: {e}"))?;
                     (Request::Query { id: id as u64, mode, queries }, expected)
@@ -351,25 +314,20 @@ fn drive_connection(
     Ok((latencies_ms, retries))
 }
 
-/// Drives a server at `addr` with the full workload shape: optionally
-/// loads the fleet, then runs `shape.connections` concurrent connections
-/// and aggregates their measurements.
+/// Drives a server at `addr` with the full workload shape: unless
+/// `--assume-loaded`, loads the fleet, then runs `args.connections`
+/// concurrent connections and aggregates their measurements.
 fn drive(
     addr: &str,
     oracle: &[ServedSketch],
     frames: &[Vec<u8>],
-    shape: &RunShape,
-    load: bool,
+    args: &Args,
 ) -> Result<Measured, String> {
-    if load {
+    if !args.assume_loaded {
         let mut loader = Client::connect(addr, 10_000).map_err(|e| format!("{addr}: {e}"))?;
         for (id, frame) in frames.iter().enumerate() {
             let resp = loader
-                .call(&Request::Load {
-                    id: id as u64,
-                    threads: shape.threads,
-                    frame: frame.clone(),
-                })
+                .call(&Request::Load { id: id as u64, threads: args.threads, frame: frame.clone() })
                 .map_err(|e| format!("load {id}: {e}"))?
                 .map_err(|e| format!("load {id}: response refused to decode: {e}"))?;
             match resp {
@@ -387,25 +345,24 @@ fn drive(
     }
     let started = Instant::now();
     let per_conn: Vec<Result<(Vec<f64>, u64), String>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..shape.connections)
-            .map(|c| scope.spawn(move || drive_connection(addr, oracle, shape, c)))
+        let handles: Vec<_> = (0..args.connections)
+            .map(|c| scope.spawn(move || drive_connection(addr, oracle, args, c)))
             .collect();
         handles.into_iter().map(|h| h.join().expect("connection thread panicked")).collect()
     });
     let elapsed = started.elapsed().as_secs_f64();
-    let mut latencies_ms = Vec::with_capacity(shape.connections * shape.batches);
+    let mut latencies_ms = Vec::with_capacity(args.connections * args.batches);
     let mut overload_retries = 0u64;
     for result in per_conn {
         let (lat, retries) = result?;
         latencies_ms.extend(lat);
         overload_retries += retries;
     }
-    latencies_ms.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-    let queries_total = (shape.connections * shape.batches * shape.batch_size) as f64;
+    let queries_total = (args.connections * args.batches * args.batch_size) as f64;
     Ok(Measured {
-        p50_ms: percentile_ms(&latencies_ms, 50.0),
-        p99_ms: percentile_ms(&latencies_ms, 99.0),
-        p999_ms: percentile_ms(&latencies_ms, 99.9),
+        p50_ms: quantile(&latencies_ms, 0.5),
+        p99_ms: quantile(&latencies_ms, 0.99),
+        p999_ms: quantile(&latencies_ms, 0.999),
         qps: queries_total / elapsed.max(1e-9),
         overload_retries,
     })
@@ -440,15 +397,7 @@ fn run_load(args: &Args) -> Result<(), String> {
         .iter()
         .map(|f| ServedSketch::admit(f, args.threads).map_err(|e| e.to_string()))
         .collect::<Result<_, _>>()?;
-    let shape = RunShape {
-        connections: args.connections,
-        pipeline: args.pipeline,
-        batches: args.batches,
-        batch_size: args.batch_size,
-        threads: args.threads,
-        seed: args.seed,
-    };
-    let m = drive(addr, &oracle, &frames, &shape, !args.assume_loaded)?;
+    let m = drive(addr, &oracle, &frames, args)?;
     println!(
         "ifs-loadgen: {} connections x {} batches x {} queries (pipeline {}) over {} \
          sketches, all answers bit-identical to the offline oracle; p50 {:.3} ms, \
@@ -508,135 +457,11 @@ fn run_load(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// One matrix cell: transport x engine thread count, measured in-process
-/// over loopback TCP.
-struct MatrixRun {
-    transport: &'static str,
-    threads: usize,
-    pipeline: usize,
-    measured: Measured,
-}
-
-/// Runs the 2x2 perf matrix — {thread-per-connection, pooled} x
-/// {1, 4 engine threads} — with the identical workload, and writes one
-/// JSON recording every run plus each pooled run's speedup over its
-/// thread-count-matched baseline. The baseline keeps pipeline depth 1
-/// (its natural call/response shape); the pooled runs use
-/// `--pipeline`.
-fn bench_matrix(args: &Args) -> Result<(), String> {
-    let frames = fleet_frames(args.seed);
-    let mut runs: Vec<MatrixRun> = Vec::new();
-    for threads in [1usize, 4] {
-        for pooled in [false, true] {
-            let oracle: Vec<ServedSketch> = frames
-                .iter()
-                .map(|f| ServedSketch::admit(f, threads).map_err(|e| e.to_string()))
-                .collect::<Result<_, _>>()?;
-            let server = SketchServer::new(ServeConfig {
-                default_threads: threads,
-                ..ServeConfig::default()
-            });
-            let listener =
-                TcpListener::bind("127.0.0.1:0").map_err(|e| format!("bind loopback: {e}"))?;
-            let addr = listener.local_addr().map_err(|e| e.to_string())?.to_string();
-            let shape = RunShape {
-                connections: args.connections,
-                pipeline: if pooled { args.pipeline } else { 1 },
-                batches: args.batches,
-                batch_size: args.batch_size,
-                threads,
-                seed: args.seed,
-            };
-            // The loader client plus the driving connections.
-            let accept = Some(args.connections + 1);
-            let pool_config = PoolConfig::default();
-            let measured = std::thread::scope(|scope| {
-                let server = &server;
-                let listener = &listener;
-                let pool_config = &pool_config;
-                scope.spawn(move || {
-                    let served = if pooled {
-                        pool::serve_pooled(server, listener, pool_config, accept)
-                    } else {
-                        net::serve_listener(server, listener, accept)
-                    };
-                    served.expect("in-process server serves its connections");
-                });
-                drive(&addr, &oracle, &frames, &shape, true)
-            })?;
-            let transport = if pooled { "pooled" } else { "threaded" };
-            println!(
-                "ifs-loadgen matrix: {transport} threads={threads} pipeline={}: \
-                 {:.0} queries/s (p50 {:.3} ms, p99 {:.3} ms, p99.9 {:.3} ms, {} retries)",
-                shape.pipeline,
-                measured.qps,
-                measured.p50_ms,
-                measured.p99_ms,
-                measured.p999_ms,
-                measured.overload_retries
-            );
-            runs.push(MatrixRun { transport, threads, pipeline: shape.pipeline, measured });
-        }
-    }
-    let baseline_qps = |threads: usize| {
-        runs.iter()
-            .find(|r| r.transport == "threaded" && r.threads == threads)
-            .map(|r| r.measured.qps)
-            .expect("matrix ran the threaded baseline")
-    };
-    let mut min_pooled_speedup = f64::INFINITY;
-    let mut run_objects = Vec::new();
-    for run in &runs {
-        let speedup = run.measured.qps / baseline_qps(run.threads);
-        if run.transport == "pooled" {
-            min_pooled_speedup = min_pooled_speedup.min(speedup);
-        }
-        run_objects.push(format!(
-            "    {{\n      \"transport\": \"{}\",\n      \"threads\": {},\n      \
-             \"pipeline_depth\": {},\n      \"p50_ms\": {:.3},\n      \
-             \"p99_ms\": {:.3},\n      \"p999_ms\": {:.3},\n      \
-             \"queries_per_sec\": {:.1},\n      \"overload_retries\": {},\n      \
-             \"speedup_vs_threaded\": {:.2}\n    }}",
-            run.transport,
-            run.threads,
-            run.pipeline,
-            run.measured.p50_ms,
-            run.measured.p99_ms,
-            run.measured.p999_ms,
-            run.measured.qps,
-            run.measured.overload_retries,
-            speedup
-        ));
-    }
-    println!("ifs-loadgen matrix: min pooled speedup {min_pooled_speedup:.2}x over the baseline");
-    if let Some(path) = &args.json {
-        let queries_total = args.connections * args.batches * args.batch_size;
-        let json = format!(
-            "{{\n  \"bench\": \"serving_load\",\n  \"mode\": \"{}\",\n  \
-             \"source\": \"loadgen-matrix\",\n  \"sketches\": {},\n  \
-             \"connections\": {},\n  \"pipeline_depth\": {},\n  \
-             \"batches\": {},\n  \"batch_size\": {},\n  \
-             \"queries_total\": {queries_total},\n  \"identity_checked\": true,\n  \
-             \"min_pooled_speedup\": {min_pooled_speedup:.2},\n  \"runs\": [\n{}\n  ]\n}}\n",
-            build_mode(),
-            frames.len(),
-            args.connections,
-            args.pipeline,
-            args.batches,
-            args.batch_size,
-            run_objects.join(",\n")
-        );
-        write_json(path, json)?;
-    }
-    Ok(())
-}
-
 fn run() -> Result<(), String> {
     let args = parse_args()?;
     match (&args.write_snapshots, &args.write_log) {
         (Some(path), _) => write_snapshots(path, args.seed),
         (_, Some(path)) => write_log(path, args.seed),
-        _ if args.bench_matrix => bench_matrix(&args),
         _ => run_load(&args),
     }
 }

@@ -34,11 +34,11 @@
 //! - [`server`] — [`SketchServer`], gluing the above behind one
 //!   `handle(request bytes) -> response bytes` entry point, with explicit
 //!   backpressure ([`BatchSlot`]).
-//! - [`net`] — blocking TCP transport and a [`Client`], plus the
-//!   `ifs-serve` and `ifs-loadgen` binaries on top.
-//! - [`pool`] — the pooled transport (DESIGN.md §13): a fixed worker
-//!   pool multiplexing nonblocking connections with pipelining,
-//!   cross-connection micro-batching, and hot-reload-safe dispatch.
+//! - [`net`] — wire framing and a blocking [`Client`].
+//! - [`pool`] — the TCP transport (DESIGN.md §13): a fixed worker pool
+//!   multiplexing nonblocking connections with pipelining,
+//!   cross-connection micro-batching, and hot-reload-safe dispatch. The
+//!   `ifs-serve` and `ifs-loadgen` binaries sit on top.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,9 +1,11 @@
-//! Blocking TCP transport for the serving protocol.
+//! Wire framing for the serving protocol, and a blocking client.
 //!
 //! The wire carries exactly the byte strings [`crate::protocol`] produces:
 //! self-delimiting frames (8-byte header, varint body length, body, 8-byte
-//! checksum), so the transport's only jobs are to find frame boundaries in
-//! the stream and to bound how much a peer can make the server buffer.
+//! checksum), so framing's only jobs are to find frame boundaries in the
+//! stream and to bound how much a peer can make the server buffer. The
+//! server side is [`crate::pool`]; it finds boundaries with
+//! [`frame_boundary`], and [`Client`] reads with [`read_frame_into`].
 //! Everything semantic — checksums, kinds, versions, body tags — is judged
 //! by the codec layer after the frame is reassembled, which keeps the
 //! adversarial-input story in one place.
@@ -15,10 +17,9 @@
 //! connection stays open.
 
 use crate::protocol::{EncodeBuf, Request, Response};
-use crate::server::SketchServer;
 use ifs_database::codec::{DecodeError, SNAPSHOT_MAGIC};
 use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpStream;
 
 /// Upper bound on a single wire frame's declared body length, in bytes
 /// (1 GiB). A peer can therefore never make the transport buffer more
@@ -106,7 +107,7 @@ pub fn write_frame<W: Write>(stream: &mut W, frame: &[u8]) -> io::Result<()> {
 
 /// Finds the first frame boundary in a buffered prefix of a byte stream —
 /// the incremental-parse form of [`read_frame_into`] the pooled
-/// (nonblocking) transport uses, where bytes arrive in arbitrary chunks
+/// (nonblocking) server uses, where bytes arrive in arbitrary chunks
 /// and a partial frame must simply wait for more.
 ///
 /// - `Ok(Some(len))` — `buf[..len]` is one complete frame.
@@ -116,7 +117,8 @@ pub fn write_frame<W: Write>(stream: &mut W, frame: &[u8]) -> io::Result<()> {
 ///   connection should be closed after one typed error response.
 ///
 /// Exactly the checks [`read_frame_into`] performs, judged over a slice:
-/// both transports refuse the same streams with the same errors.
+/// the blocking reader and the pooled server refuse the same streams with
+/// the same errors.
 pub fn frame_boundary(buf: &[u8]) -> Result<Option<usize>, DecodeError> {
     if buf.len() < 4 {
         return Ok(None);
@@ -157,60 +159,6 @@ pub fn frame_boundary(buf: &[u8]) -> Result<Option<usize>, DecodeError> {
     // Body + trailing u64 checksum.
     let total = at + body_len as usize + 8;
     Ok(if buf.len() >= total { Some(total) } else { None })
-}
-
-/// Serves one connection to completion: one response frame per request
-/// frame, in order. Returns when the peer closes, the transport fails, or
-/// an unframeable byte stream forces a close (after a final typed error
-/// response). No peer input panics this loop.
-pub fn serve_connection(server: &SketchServer, stream: &mut TcpStream) -> io::Result<()> {
-    // Per-connection reusable buffers: the inbound frame and the encode
-    // scratch. A warm request/response cycle allocates nothing at the
-    // transport and framing layers (DESIGN.md §12).
-    let mut frame = Vec::new();
-    let mut buf = EncodeBuf::new();
-    loop {
-        match read_frame_into(stream, &mut frame)? {
-            None => return Ok(()),
-            Some(Ok(())) => {
-                let response = server.handle_into(&frame, &mut buf);
-                write_frame(stream, response)?;
-            }
-            Some(Err(e)) => {
-                write_frame(stream, Response::Error(e.into()).encode_into(&mut buf))?;
-                return Ok(());
-            }
-        }
-    }
-}
-
-/// Accept loop: serves each connection on its own scoped thread, sharing
-/// one [`SketchServer`] (and therefore one hot set and one in-flight
-/// bound) across all of them. With `accept_limit = Some(n)`, returns after
-/// `n` connections have been accepted *and served* — the shape CI's e2e
-/// smoke uses; `None` loops forever.
-pub fn serve_listener(
-    server: &SketchServer,
-    listener: &TcpListener,
-    accept_limit: Option<usize>,
-) -> io::Result<()> {
-    std::thread::scope(|scope| {
-        let mut accepted = 0usize;
-        loop {
-            if let Some(limit) = accept_limit {
-                if accepted >= limit {
-                    break;
-                }
-            }
-            let (mut stream, _peer) = listener.accept()?;
-            accepted += 1;
-            scope.spawn(move || {
-                // A connection dying mid-write only affects that peer.
-                let _ = serve_connection(server, &mut stream);
-            });
-        }
-        Ok(())
-    })
 }
 
 /// A blocking client for the serving protocol: one call, one response.
@@ -276,8 +224,10 @@ impl Client {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pool::{serve_pooled, PoolConfig};
     use crate::protocol::ServerStats;
-    use crate::server::ServeConfig;
+    use crate::server::{ServeConfig, SketchServer};
+    use std::net::TcpListener;
 
     #[test]
     fn frames_roundtrip_over_a_byte_stream() {
@@ -344,7 +294,10 @@ mod tests {
         let addr = listener.local_addr().unwrap().to_string();
         let server = SketchServer::new(ServeConfig::default());
         std::thread::scope(|scope| {
-            scope.spawn(|| serve_listener(&server, &listener, Some(1)).expect("serve one"));
+            scope.spawn(|| {
+                serve_pooled(&server, &listener, &PoolConfig::default(), Some(1))
+                    .expect("serve one")
+            });
             let mut client = Client::connect(&addr, 2_000).expect("connect");
             let resp = client.call(&Request::Stats).expect("transport").expect("decode");
             assert_eq!(

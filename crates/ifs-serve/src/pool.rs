@@ -1,10 +1,9 @@
 //! Pooled, pipelined transport: a fixed worker pool multiplexing many
 //! connections, with cross-connection micro-batching (DESIGN.md §13).
 //!
-//! [`crate::net::serve_listener`] spends one OS thread (and stack) per
-//! connection and answers one frame at a time, so at high fan-in the
-//! syscall and dispatch overhead — not the kernels — bound throughput.
-//! This module replaces that shape with [`serve_pooled`]: a fixed set of
+//! A thread per connection answering one frame at a time would let
+//! syscall and dispatch overhead — not the kernels — bound throughput at
+//! high fan-in. [`serve_pooled`] instead runs a fixed set of
 //! [`PoolWorker`]s, each owning a disjoint set of nonblocking connections
 //! and their reusable buffers, polled in a read → dispatch → write loop.
 //!
@@ -205,7 +204,7 @@ impl<'s, S: Read + Write> PoolWorker<'s, S> {
     /// and costs the *other* connections nothing, because this never
     /// blocks. An unframeable prefix queues one typed error response and
     /// marks the connection closing (the stream position is meaningless,
-    /// exactly the blocking transport's contract).
+    /// exactly as for the blocking [`read_frame_into`](crate::net::read_frame_into)).
     fn read_and_parse(conn: &mut Conn<S>, readahead: usize, chunk: &mut [u8]) -> bool {
         let mut did = false;
         if !conn.eof && !conn.closing && conn.queue.len() < readahead {
@@ -462,9 +461,8 @@ impl<'s, S: Read + Write> PoolWorker<'s, S> {
 /// [`PoolConfig::resolved_workers`]) each multiplex a share of the
 /// accepted connections; the calling thread accepts and deals
 /// connections round-robin. With `accept_limit = Some(n)`, returns after
-/// `n` connections have been accepted *and served to completion* —
-/// the same contract as [`crate::net::serve_listener`]; `None` loops
-/// forever.
+/// `n` connections have been accepted *and served to completion* — the
+/// shape CI's end-to-end smoke uses; `None` loops forever.
 pub fn serve_pooled(
     server: &SketchServer,
     listener: &TcpListener,
