@@ -1,11 +1,12 @@
-//! Criterion: serial vs sharded multi-threaded batch query execution.
+//! Criterion: serial vs multi-threaded columnar batch query execution.
 //!
 //! The acceptance targets for the parallel execution layer (DESIGN.md §8)
 //! on a 100k-row × 128-dim database with a 1k-itemset query log:
 //!
-//! 1. **Identity** — sharded `support_batch`/`frequency_batch` answers are
-//!    bit-identical to the serial columnar path at every thread count
-//!    (asserted here on every run, including the smoke pass).
+//! 1. **Identity** — `Database::support_batch_with_threads` /
+//!    `frequencies_with_threads` answers are bit-identical to the serial
+//!    columnar path at every thread count (asserted here on every run,
+//!    including the smoke pass).
 //! 2. **Speedup** — ≥ 1.5× over the serial path at 4 threads. The gate
 //!    runs whenever the host exposes ≥ 4 cores; on smaller runners it is
 //!    skipped with a printed notice (4 workers on 1 core cannot speed
@@ -15,7 +16,7 @@
 //! `cargo test --benches` each body runs once as a smoke test.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use ifs_database::{Database, Itemset, ShardedColumnStore};
+use ifs_database::{ColumnStore, Database, Itemset};
 use ifs_util::Rng64;
 use std::hint::black_box;
 
@@ -45,17 +46,16 @@ fn bench_thread_scaling(c: &mut Criterion) {
     // Identity first: speed means nothing if the answers moved.
     let serial_sup = db.support_batch(&queries);
     let serial_freq = db.frequencies(&queries);
-    let sharded = ShardedColumnStore::build(db.matrix(), 4);
     for threads in [1usize, 2, 4, 8] {
         assert_eq!(
-            sharded.support_batch(&queries, threads),
+            db.support_batch_with_threads(&queries, threads),
             serial_sup,
-            "sharded supports diverged from serial at {threads} threads"
+            "threaded supports diverged from serial at {threads} threads"
         );
         assert_eq!(
-            sharded.frequency_batch(&queries, threads),
+            db.frequencies_with_threads(&queries, threads),
             serial_freq,
-            "sharded frequencies diverged from serial at {threads} threads"
+            "threaded frequencies diverged from serial at {threads} threads"
         );
     }
 
@@ -66,20 +66,20 @@ fn bench_thread_scaling(c: &mut Criterion) {
         b.iter(|| black_box(db.frequencies(black_box(&queries))));
     });
     for threads in [1usize, 2, 4, 8] {
-        g.bench_function(format!("sharded_{threads}_threads"), |b| {
-            b.iter(|| black_box(sharded.frequency_batch(black_box(&queries), threads)));
+        g.bench_function(format!("threaded_{threads}_threads"), |b| {
+            b.iter(|| black_box(db.frequencies_with_threads(black_box(&queries), threads)));
         });
     }
     g.finish();
 }
 
-fn bench_sharded_build(c: &mut Criterion) {
+fn bench_columnar_build(c: &mut Criterion) {
     let (db, _) = workload();
-    let mut g = c.benchmark_group("sharded_build");
+    let mut g = c.benchmark_group("columnar_build");
     g.sample_size(10);
     for threads in [1usize, 4] {
         g.bench_function(format!("build_{threads}_threads"), |b| {
-            b.iter(|| black_box(ShardedColumnStore::build(black_box(db.matrix()), threads)));
+            b.iter(|| black_box(ColumnStore::build_with_threads(black_box(db.matrix()), threads)));
         });
     }
     g.finish();
@@ -91,8 +91,7 @@ fn bench_sharded_build(c: &mut Criterion) {
 fn bench_speedup_gate(c: &mut Criterion) {
     let (db, queries) = workload();
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let _ = db.columns(); // pay the serial transpose before timing
-    let sharded = ShardedColumnStore::build(db.matrix(), cores);
+    let _ = db.columns(); // pay the transpose before timing
 
     // Best-of-3 per path smooths scheduler noise without hiding a real miss.
     let time_best = |f: &dyn Fn() -> Vec<f64>| {
@@ -106,17 +105,17 @@ fn bench_speedup_gate(c: &mut Criterion) {
             .expect("three timings")
     };
     let serial_time = time_best(&|| db.frequencies(&queries));
-    let sharded_time = time_best(&|| sharded.frequency_batch(&queries, 4));
-    assert_eq!(sharded.frequency_batch(&queries, 4), db.frequencies(&queries));
-    let speedup = serial_time.as_secs_f64() / sharded_time.as_secs_f64().max(1e-12);
+    let threaded_time = time_best(&|| db.frequencies_with_threads(&queries, 4));
+    assert_eq!(db.frequencies_with_threads(&queries, 4), db.frequencies(&queries));
+    let speedup = serial_time.as_secs_f64() / threaded_time.as_secs_f64().max(1e-12);
     println!(
-        "parallel_scaling gate: serial {serial_time:?}, sharded@4 {sharded_time:?} \
+        "parallel_scaling gate: serial {serial_time:?}, threaded@4 {threaded_time:?} \
          ({speedup:.2}x) on {ROWS}x{DIMS}, {QUERIES} queries, {cores} cores"
     );
     if cores >= 4 {
         assert!(
             speedup >= 1.5,
-            "sharded 4-thread path must be >= 1.5x the serial path on a >=4-core host, \
+            "threaded 4-thread path must be >= 1.5x the serial path on a >=4-core host, \
              got {speedup:.2}x"
         );
     } else {
@@ -132,5 +131,5 @@ fn bench_speedup_gate(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_thread_scaling, bench_sharded_build, bench_speedup_gate);
+criterion_group!(benches, bench_thread_scaling, bench_columnar_build, bench_speedup_gate);
 criterion_main!(benches);

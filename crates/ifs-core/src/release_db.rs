@@ -198,9 +198,10 @@ impl FrequencyEstimator for ReleaseDb {
         self.db.columns().frequency(itemset)
     }
 
-    /// Batches run with the sketch's thread knob ([`Parallel`]): the
-    /// sharded store's summed per-shard popcounts are the same integers the
-    /// serial store computes, so answers stay exact and bit-identical.
+    /// Batches run with the sketch's thread knob ([`Parallel`]) on the
+    /// database's one cached columnar view, the query log split into
+    /// chunks across threads: each query's support is the same integer at
+    /// every thread count, so answers stay exact and bit-identical.
     fn estimate_batch(&self, itemsets: &[Itemset]) -> Vec<f64> {
         self.db.frequencies_with_threads(itemsets, self.threads)
     }

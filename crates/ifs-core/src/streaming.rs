@@ -33,9 +33,9 @@ use ifs_database::{Database, Itemset};
 use ifs_util::threads::parallel_map_indexed;
 
 /// Row-count granularity at which partial builds align: the same constant
-/// as the §8 query shards, so a sharded build's merge boundaries coincide
-/// with the storage engine's shard boundaries.
-pub use ifs_database::SHARD_ROWS as INGEST_CHUNK_ROWS;
+/// as the columnar engine's row blocks (§8), so a sharded build's merge
+/// boundaries coincide with the engine's block boundaries.
+pub use ifs_database::BLOCK_ROWS as INGEST_CHUNK_ROWS;
 
 /// Why two partial builds (or sketches) refused to merge.
 ///

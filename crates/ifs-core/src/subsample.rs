@@ -190,9 +190,10 @@ impl FrequencyEstimator for Subsample {
         self.sample.columns().frequency(itemset)
     }
 
-    /// Batches run with the sketch's thread knob ([`Parallel`]): serial on
-    /// the cached [`ColumnStore`](ifs_database::ColumnStore) at 1 thread,
-    /// on the sharded store above — bit-identical either way (DESIGN.md §8).
+    /// Batches run with the sketch's thread knob ([`Parallel`]) on the
+    /// sample's one cached [`ColumnStore`](ifs_database::ColumnStore), the
+    /// query log split into chunks across threads — bit-identical at every
+    /// thread count (DESIGN.md §8).
     fn estimate_batch(&self, itemsets: &[Itemset]) -> Vec<f64> {
         self.sample.frequencies_with_threads(itemsets, self.threads)
     }

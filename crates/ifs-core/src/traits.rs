@@ -46,8 +46,8 @@ pub trait FrequencyIndicator: Sketch {
 
 /// The thread-count knob of the parallel execution layer (DESIGN.md §8).
 ///
-/// Sketches whose batched query paths can run on the sharded columnar
-/// engine implement this; the knob defaults to 1 (serial) and is purely an
+/// Sketches whose batched query paths can run on the multi-threaded
+/// columnar engine implement this; the knob defaults to 1 (serial) and is purely an
 /// execution hint: answers are **required to be bit-identical** at every
 /// thread count (enforced by `tests/sharded_queries.rs`). Wrappers like
 /// [`EstimatorAsIndicator`] forward the knob to their inner sketch.

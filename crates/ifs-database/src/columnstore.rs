@@ -16,14 +16,22 @@
 
 use crate::{BitMatrix, Itemset};
 use ifs_util::bits;
+use ifs_util::threads::{clamp_threads, parallel_for_each_mut};
 
-/// Tid-word block for the batched query path: the same geometry as a row
-/// shard ([`crate::sharded::SHARD_ROWS`] rows = 256 words per column), so
-/// one block of the `k` queried columns plus scratch stays L2-resident
-/// while every query of the batch runs over it (DESIGN.md §12). Blocked
-/// partial supports are exact integer popcounts over disjoint word
-/// ranges, so any block size yields bit-identical answers.
-pub(crate) const QUERY_BLOCK_WORDS: usize = crate::sharded::SHARD_ROWS / 64;
+/// Rows per block: the row geometry of the batched query path, of the
+/// threaded build, and of chunked sketch builds
+/// (`ifs_core::streaming::INGEST_CHUNK_ROWS`). Word-aligned (a multiple of
+/// 64) so no block splits a tid word; 16384 rows × 128 items ≈ 256 KiB of
+/// tid words per block, which fits in L2 while giving a 100k-row database
+/// 7 blocks to spread over cores.
+pub const BLOCK_ROWS: usize = 16_384;
+
+/// Tid words per column in one [`BLOCK_ROWS`] block (256): one block of the
+/// `k` queried columns plus scratch stays L2-resident while every query of
+/// a batch runs over it (DESIGN.md §12). Blocked partial supports are exact
+/// integer popcounts over disjoint word ranges, so any block size yields
+/// bit-identical answers.
+pub(crate) const QUERY_BLOCK_WORDS: usize = BLOCK_ROWS / 64;
 
 std::thread_local! {
     /// Scratch for single `support` queries with `k ≥ 4`: grown once per
@@ -51,42 +59,30 @@ impl ColumnStore {
     /// Transposes a row-major matrix into per-item tid-sets (one pass over
     /// the set bits of the matrix).
     pub fn build(matrix: &BitMatrix) -> Self {
-        Self::build_range(matrix, 0..matrix.rows())
+        Self::build_with_threads(matrix, 1)
     }
 
-    /// Transposes only the rows in `range` (tid-set bit `r` refers to row
-    /// `range.start + r` of the source matrix). This is the per-shard
-    /// build of [`crate::ShardedColumnStore`]: each shard transposes its
-    /// contiguous row slice independently, so shards can be built in
-    /// parallel and their popcounts summed (DESIGN.md §8).
-    pub fn build_range(matrix: &BitMatrix, range: std::ops::Range<usize>) -> Self {
-        assert!(range.start <= range.end && range.end <= matrix.rows(), "row range out of bounds");
-        let rows = range.len();
+    /// [`Self::build`] with up to `threads` workers (DESIGN.md §8): each
+    /// [`BLOCK_ROWS`]-row block owns its own word range of every column
+    /// and transposes its rows into it, in place. The words written do not
+    /// depend on which worker wrote them, so the store is `==` to the
+    /// serial build at every thread count.
+    pub fn build_with_threads(matrix: &BitMatrix, threads: usize) -> Self {
+        let rows = matrix.rows();
         let dims = matrix.cols();
         let words_per_col = bits::words_for(rows).max(1);
         let mut words = vec![0u64; dims * words_per_col];
-        // Blocked bit-scatter: 64 rows at a time accumulate into one
-        // L1-resident word per column (`colword`, `d` words), then each
-        // nonzero word is stored once. The naive transpose did one random
-        // store into the `d × n/64`-word output per set *bit*; this does one
-        // per set output *word*, and the per-bit stores all land in a `d`-
-        // word buffer that stays hot across the block.
-        let mut colword = vec![0u64; dims];
-        for block in 0..words_per_col {
-            let lo = range.start + block * 64;
-            let hi = (lo + 64).min(range.end);
-            for (bit, r) in (lo..hi).enumerate() {
-                for c in bits::ones(matrix.row_words(r)) {
-                    colword[c] |= 1u64 << bit;
-                }
-            }
-            for (c, w) in colword.iter_mut().enumerate() {
-                if *w != 0 {
-                    words[c * words_per_col + block] = *w;
-                    *w = 0;
-                }
+        // blocks[b][c] is block b's word range of column c.
+        let mut blocks: Vec<Vec<&mut [u64]>> =
+            (0..words_per_col.div_ceil(QUERY_BLOCK_WORDS)).map(|_| Vec::new()).collect();
+        for col in words.chunks_mut(words_per_col) {
+            for (block, piece) in blocks.iter_mut().zip(col.chunks_mut(QUERY_BLOCK_WORDS)) {
+                block.push(piece);
             }
         }
+        parallel_for_each_mut(&mut blocks, threads, |b, cols| {
+            transpose_block(matrix, b * BLOCK_ROWS, cols);
+        });
         Self { rows, dims, words_per_col, words }
     }
 
@@ -99,7 +95,19 @@ impl ColumnStore {
     /// column is copied once into the wider stride — an `O(d·n/64)` word
     /// memcpy, far cheaper than the `O(n·d)` bit-scatter of a fresh
     /// transpose — and otherwise only the new rows' bits are set.
+    ///
+    /// Every row is validated **before** anything is mutated: an item `≥ d`
+    /// panics and leaves the store unchanged.
     pub fn append_rows(&mut self, rows: &[Itemset]) {
+        for row in rows {
+            if let Some(m) = row.max_item() {
+                assert!(
+                    (m as usize) < self.dims,
+                    "item {m} out of range for {} columns",
+                    self.dims
+                );
+            }
+        }
         let new_rows = self.rows + rows.len();
         let new_wpc = bits::words_for(new_rows).max(1);
         if new_wpc != self.words_per_col {
@@ -115,9 +123,7 @@ impl ColumnStore {
         for (i, row) in rows.iter().enumerate() {
             let local = self.rows + i;
             for &c in row.items() {
-                let c = c as usize;
-                assert!(c < self.dims, "item {c} out of range for {} columns", self.dims);
-                self.words[c * self.words_per_col + local / 64] |= 1u64 << (local % 64);
+                self.words[c as usize * self.words_per_col + local / 64] |= 1u64 << (local % 64);
             }
         }
         self.rows = new_rows;
@@ -151,13 +157,6 @@ impl ColumnStore {
         bits::count_ones(self.tids(c))
     }
 
-    /// An empty scratch buffer for tid-set intersections, reusable across
-    /// queries (the batch APIs allocate exactly one). The kernel sizes it on
-    /// the first query that actually needs it.
-    pub fn new_scratch(&self) -> Vec<u64> {
-        Vec::new()
-    }
-
     /// The word range `[w0, w1)` of item `c`'s tid-set — the unit the
     /// blocked batch kernel iterates over.
     #[inline]
@@ -179,7 +178,7 @@ impl ColumnStore {
     /// Because supports over disjoint word ranges are exact integer partial
     /// popcounts, summing this kernel over any partition of `[0,
     /// words_per_col)` is bit-identical to one full-width pass — the same
-    /// argument that makes row sharding exact (DESIGN.md §8).
+    /// argument that makes query blocking exact (DESIGN.md §12).
     fn support_in_words(
         &self,
         itemset: &Itemset,
@@ -292,22 +291,19 @@ impl ColumnStore {
     /// Bit-identical to calling [`Self::frequency`] per itemset: both divide
     /// the same integer support by the same integer row count.
     pub fn frequency_batch(&self, itemsets: &[Itemset]) -> Vec<f64> {
-        if self.rows == 0 {
-            return vec![0.0; itemsets.len()];
-        }
-        let n = self.rows as f64;
-        self.support_batch(itemsets).into_iter().map(|s| s as f64 / n).collect()
+        self.frequency_batch_with_threads(itemsets, 1)
     }
 
-    /// [`Self::support_batch`] chunked across up to `threads` workers
-    /// (DESIGN.md §8). Row sharding is pointless for a store that fits one
-    /// shard, but query-log chunking still parallelizes; each worker runs
-    /// the blocked kernel over its chunk. Element `i` equals
+    /// [`Self::support_batch`] split into up to `threads` contiguous chunks
+    /// of the query log (DESIGN.md §8); each worker runs the blocked kernel
+    /// over its chunk into its own slice of the output. Element `i` equals
     /// `self.support(&itemsets[i])` regardless of `threads`.
     pub fn support_batch_with_threads(&self, itemsets: &[Itemset], threads: usize) -> Vec<usize> {
         let mut out = vec![0usize; itemsets.len()];
-        crate::sharded::chunked_query_batch(self, itemsets, threads, &mut out, |s, qs, os| {
-            s.add_supports_blocked(qs, os, QUERY_BLOCK_WORDS, &mut Vec::new());
+        let chunk = itemsets.len().div_ceil(clamp_threads(threads)).max(1);
+        let mut chunks: Vec<_> = itemsets.chunks(chunk).zip(out.chunks_mut(chunk)).collect();
+        parallel_for_each_mut(&mut chunks, threads, |_, (qs, os)| {
+            self.add_supports_blocked(qs, os, QUERY_BLOCK_WORDS, &mut Vec::new());
         });
         out
     }
@@ -324,6 +320,33 @@ impl ColumnStore {
             .into_iter()
             .map(|s| s as f64 / n)
             .collect()
+    }
+}
+
+/// Transposes the rows `row0..` covered by one block's column pieces
+/// (`cols[c]` is the block's word range of column `c`) with a blocked
+/// bit-scatter: 64 rows at a time accumulate into one L1-resident word per
+/// column (`colword`, `d` words), then each nonzero word is stored once. A
+/// naive transpose does one random store into the `d × n/64`-word output
+/// per set *bit*; this does one per set output *word*, and the per-bit
+/// stores all land in a `d`-word buffer that stays hot across the block.
+fn transpose_block(matrix: &BitMatrix, row0: usize, cols: &mut [&mut [u64]]) {
+    let mut colword = vec![0u64; cols.len()];
+    let words = cols.first().map_or(0, |c| c.len());
+    for w in 0..words {
+        let lo = row0 + w * 64;
+        let hi = (lo + 64).min(matrix.rows());
+        for (bit, r) in (lo..hi).enumerate() {
+            for c in bits::ones(matrix.row_words(r)) {
+                colword[c] |= 1u64 << bit;
+            }
+        }
+        for (col, cw) in cols.iter_mut().zip(&mut colword) {
+            if *cw != 0 {
+                col[w] = *cw;
+                *cw = 0;
+            }
+        }
     }
 }
 
@@ -484,10 +507,56 @@ mod tests {
         store.append_rows(&[Itemset::singleton(5)]);
     }
 
+    /// A rejected batch leaves no trace: no wider stride, no bits of the
+    /// valid rows before the bad one, no phantom rows.
+    #[test]
+    fn append_rows_validates_before_mutating() {
+        let mut store = ColumnStore::build(Database::zeros(2, 4).matrix());
+        let before = store.clone();
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            store.append_rows(&[Itemset::singleton(3), Itemset::singleton(9)]);
+        }));
+        assert!(result.is_err());
+        assert_eq!(store, before, "a rejected batch must leave the store untouched");
+        assert_eq!(store.item_support(3), 0);
+    }
+
+    /// The threaded build writes the same words as the serial one at every
+    /// thread count, across word and block boundaries.
+    #[test]
+    fn threaded_build_equals_serial_build() {
+        let mut rng = ifs_util::Rng64::seeded(0xB10C);
+        for rows in
+            [0, 1, 63, 64, 65, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 65]
+        {
+            let db = Database::from_fn(rows, 9, |_, _| rng.bernoulli(0.3));
+            let serial = ColumnStore::build(db.matrix());
+            // Independent oracle for the serial side: every tid bit is the cell.
+            assert_eq!(serial.rows(), rows);
+            for c in 0..9 {
+                let tids: Vec<usize> = ifs_util::bits::ones(serial.tids(c)).collect();
+                let cells: Vec<usize> = (0..rows).filter(|&r| db.get(r, c)).collect();
+                assert_eq!(tids, cells, "rows={rows} column {c}");
+            }
+            for threads in [0, 1, 2, 3, 8] {
+                assert_eq!(
+                    ColumnStore::build_with_threads(db.matrix(), threads),
+                    serial,
+                    "rows={rows} threads={threads}"
+                );
+            }
+        }
+        let no_items = Database::zeros(BLOCK_ROWS + 1, 0);
+        assert_eq!(
+            ColumnStore::build_with_threads(no_items.matrix(), 2),
+            ColumnStore::build(no_items.matrix())
+        );
+    }
+
     #[test]
     fn scratch_reuse_is_stateless() {
         let store = ColumnStore::build(toy().matrix());
-        let mut scratch = store.new_scratch();
+        let mut scratch = Vec::new();
         let a = Itemset::new(vec![0, 1, 2]);
         let b = Itemset::new(vec![1, 2, 3]);
         let first = store.support_with_scratch(&a, &mut scratch);

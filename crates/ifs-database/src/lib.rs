@@ -16,10 +16,10 @@
 //! * [`ColumnStore`] — the columnar execution layer: per-item packed
 //!   tid-sets with AND+popcount intersection kernels and batched
 //!   support/frequency queries, cached lazily on [`Database::columns`].
-//! * [`ShardedColumnStore`] — the same tid-sets partitioned into contiguous
-//!   word-aligned row shards, built and queried by multiple threads with
-//!   answers bit-identical to the serial store at every thread count
-//!   (DESIGN.md §8); cached lazily on [`Database::sharded_columns`].
+//!   It is built by up to `threads` workers over [`BLOCK_ROWS`]-row blocks
+//!   and queried by up to `threads` workers over chunks of the query log,
+//!   with answers bit-identical to the serial store at every thread count
+//!   (DESIGN.md §8).
 //! * [`generators`] — workload generators: i.i.d. Bernoulli databases,
 //!   planted itemsets, Zipf-popularity market-basket data with correlated
 //!   bundles, and the binary decomposition of categorical attributes
@@ -41,12 +41,10 @@ mod database;
 pub mod generators;
 mod itemset;
 pub mod serialize;
-mod sharded;
 pub mod stats;
 
 pub use bitmatrix::BitMatrix;
 pub use codec::DecodeError;
-pub use columnstore::ColumnStore;
+pub use columnstore::{ColumnStore, BLOCK_ROWS};
 pub use database::Database;
 pub use itemset::Itemset;
-pub use sharded::{ShardedColumnStore, SHARD_ROWS};

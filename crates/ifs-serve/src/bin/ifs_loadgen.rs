@@ -391,7 +391,7 @@ fn run_load(args: &Args) -> Result<(), String> {
     let addr = args.connect.as_deref().expect("run mode requires --connect");
     let frames = fleet_frames(args.seed);
     // The local oracle: the same frames admitted through the same dispatch
-    // the server uses, so "bit-identical to the offline sharded engine" is
+    // the server uses, so "bit-identical to the offline engine" is
     // checked end to end, process boundary included.
     let oracle: Vec<ServedSketch> = frames
         .iter()

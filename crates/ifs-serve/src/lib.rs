@@ -11,7 +11,7 @@
 //!    for the same query, at every thread count and across hot-set
 //!    eviction/reload cycles — serving is an execution strategy, never an
 //!    approximation (`tests/serving_protocol.rs` proves it against the
-//!    sharded engine directly).
+//!    threaded engine directly).
 //! 2. **Measured bits.** The hot set's memory bound is the sum of measured
 //!    `size_bits()` over decoded sketches — the exact quantity the paper's
 //!    space accounting reports, not an estimate.

@@ -109,7 +109,7 @@ impl std::fmt::Display for QueryMode {
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
     /// Admit a snapshot frame under `id` (replacing any previous sketch at
-    /// that id). `threads` is the per-sketch knob for the sharded query
+    /// that id). `threads` is the per-sketch knob for the threaded query
     /// engine; `0` means "server default".
     Load {
         /// Id the sketch will answer queries under.

@@ -88,7 +88,7 @@ pub struct LoadOutcome {
 
 /// A long-running sketch-serving process: loads versioned snapshot frames,
 /// keeps a hot set decoded under an LRU bit budget, and answers batched
-/// itemset queries on the sharded engine.
+/// itemset queries on the columnar engine.
 pub struct SketchServer {
     config: ServeConfig,
     state: Mutex<ServeState>,

@@ -41,9 +41,9 @@ pub enum Answers {
 /// A decoded sketch the server can answer queries from.
 #[derive(Debug, Clone)]
 pub enum ServedSketch {
-    /// SUBSAMPLE (kind 1): estimator and indicator, sharded batches.
+    /// SUBSAMPLE (kind 1): estimator and indicator, threaded batches.
     Subsample(Subsample),
-    /// RELEASE-DB (kind 2): exact estimator and indicator, sharded batches.
+    /// RELEASE-DB (kind 2): exact estimator and indicator, threaded batches.
     ReleaseDb(ReleaseDb),
     /// RELEASE-ANSWERS indicator store (kind 3): `k`-itemsets only.
     AnswersIndicator(ReleaseAnswersIndicator),
@@ -138,7 +138,7 @@ impl ServedSketch {
         }
     }
 
-    /// Applies the sharded-engine thread knob where the sketch has one.
+    /// Applies the engine thread knob where the sketch has one.
     pub fn set_threads(&mut self, threads: usize) {
         match self {
             ServedSketch::Subsample(s) => s.set_threads(threads),

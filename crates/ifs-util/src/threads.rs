@@ -6,11 +6,11 @@
 //! that keep that knob consistent across crates: clamping, the
 //! `IFS_THREADS` environment override the integration suites (and CI's
 //! determinism matrix) use to re-run every test under a different worker
-//! count, and the index work queue ([`parallel_map_indexed`]) behind every
-//! "race for work, assemble results in order" site (shard builds, eclat's
-//! per-prefix mining).
+//! count, and the one function that spawns engine threads
+//! ([`parallel_for_each_mut`]) behind every "race for work, each result in
+//! its own slot" site: columnar row-block builds, query-log chunks, chunked
+//! sketch builds, and eclat's per-prefix mining ([`parallel_map_indexed`]).
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Hard cap on worker threads: far above any sensible setting, low enough
@@ -121,41 +121,49 @@ pub fn env_threads() -> usize {
     }
 }
 
-/// Maps `f` over `0..n` with up to `threads` workers, returning results in
-/// index order.
+/// Runs `f(i, &mut items[i])` for every item with up to `threads` workers —
+/// the one place the engine spawns threads.
 ///
-/// Workers drain an atomic index queue (good load balance when per-index
-/// cost varies, as with mining subtrees) and each result lands in the slot
-/// of its index, so the assembled vector is independent of scheduling —
-/// identical to the serial `(0..n).map(f)` at every thread count.
-/// `threads <= 1` (or `n <= 1`) runs exactly that serial map, with no
+/// Workers drain one shared queue of items (good load balance when
+/// per-item cost varies, as with mining subtrees) and each call gets
+/// exclusive access to its own item, so whatever `f` writes lands in the
+/// same place at every thread count — identical to the serial loop.
+/// `threads <= 1` (or a single item) runs exactly that serial loop, with no
 /// queue, locks, or spawned threads.
+pub fn parallel_for_each_mut<T: Send>(
+    items: &mut [T],
+    threads: usize,
+    f: impl Fn(usize, &mut T) + Sync,
+) {
+    let threads = clamp_threads(threads).min(items.len().max(1));
+    if threads == 1 {
+        items.iter_mut().enumerate().for_each(|(i, item)| f(i, item));
+        return;
+    }
+    let queue = Mutex::new(items.iter_mut().enumerate());
+    std::thread::scope(|s| {
+        for _ in 0..threads {
+            s.spawn(|| loop {
+                let next = queue.lock().expect("work queue poisoned").next();
+                let Some((i, item)) = next else { break };
+                f(i, item);
+            });
+        }
+    });
+}
+
+/// Maps `f` over `0..n` with up to `threads` workers, returning results in
+/// index order: [`parallel_for_each_mut`] over one result slot per index,
+/// so the assembled vector is identical to the serial `(0..n).map(f)` at
+/// every thread count.
 pub fn parallel_map_indexed<R: Send>(
     n: usize,
     threads: usize,
     f: impl Fn(usize) -> R + Sync,
 ) -> Vec<R> {
-    let threads = clamp_threads(threads).min(n.max(1));
-    if threads == 1 {
-        return (0..n).map(f).collect();
-    }
-    let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                *slots[i].lock().expect("result slot poisoned") = Some(f(i));
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|m| m.into_inner().expect("result slot poisoned").expect("worker filled slot"))
-        .collect()
+    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
+    parallel_for_each_mut(&mut slots, threads, |i, slot| *slot = Some(f(i)));
+    slots.into_iter().map(|slot| slot.expect("worker filled slot")).collect()
 }
 
 #[cfg(test)]
@@ -268,6 +276,17 @@ mod tests {
         for n in [0usize, 1, 2] {
             let serial: Vec<usize> = (0..n).collect();
             assert_eq!(parallel_map_indexed(n, 4, |i| i), serial, "n={n}");
+        }
+    }
+
+    #[test]
+    fn for_each_mut_gives_every_item_its_own_index() {
+        for threads in [0usize, 1, 2, 3, 8] {
+            for n in [0usize, 1, 2, 37] {
+                let mut items = vec![0usize; n];
+                parallel_for_each_mut(&mut items, threads, |i, item| *item += i + 1);
+                assert_eq!(items, (1..=n).collect::<Vec<_>>(), "threads={threads} n={n}");
+            }
         }
     }
 

@@ -2,9 +2,9 @@
 //! while rows arrive, and sketches built as mergeable folds.
 //!
 //! The ROADMAP's continuously-arriving-traffic scenario (DESIGN.md §9),
-//! one step past `sharded_engine`: the ingest tier appends row batches
+//! one step past `threaded_engine`: the ingest tier appends row batches
 //! through `Database::append_rows` — which extends the cached columnar
-//! views *in place* instead of invalidating them — while the query tier
+//! view *in place* instead of invalidating it — while the query tier
 //! answers a batched log between appends. Sketches ride the same stream:
 //! a `Subsample` is folded shard-by-shard and merged, bit-identical to the
 //! one-shot build; a Count-Min row fold merges counter-wise across shards.

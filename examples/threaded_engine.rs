@@ -2,15 +2,16 @@
 //!
 //! The ROADMAP's production scenario, one step past
 //! `high_throughput_queries`: the query tier no longer just batches its log
-//! onto shared tid-sets — it partitions the database rows into word-aligned
-//! shards ([`ShardedColumnStore`], DESIGN.md §8), builds the shards on all
-//! cores, and fans each arriving batch out to worker threads. Every answer
-//! is required to be bit-identical to the serial engine; threads change
-//! wall-clock, never bits. The same knob drives a shipped `Subsample`
-//! sketch via the [`Parallel`] trait.
+//! onto shared tid-sets — it transposes the database on all cores, one
+//! row block per worker ([`ColumnStore::build_with_threads`], DESIGN.md
+//! §8), and fans each arriving batch out to worker threads in contiguous
+//! chunks of the log. Every answer is required to be bit-identical to the
+//! serial engine; threads change wall-clock, never bits. The same knob
+//! drives a shipped `Subsample` sketch via the [`Parallel`] trait.
 //!
-//! Run with: `cargo run --release --example sharded_engine`
+//! Run with: `cargo run --release --example threaded_engine`
 
+use itemset_sketches::database::BLOCK_ROWS;
 use itemset_sketches::prelude::*;
 use std::time::Instant;
 
@@ -43,14 +44,15 @@ fn main() {
         })
         .collect();
 
-    // Shard build: all cores transpose row slices concurrently.
+    // Threaded build: all cores transpose row blocks concurrently, in place.
     let t = Instant::now();
-    let sharded = ShardedColumnStore::build(db.matrix(), cores);
+    let store = ColumnStore::build_with_threads(db.matrix(), cores);
     let build_time = t.elapsed();
+    assert_eq!(store, *db.columns(), "threaded build must equal the serial build");
     println!(
-        "sharded build: {ROWS}x{DIMS} -> {} shards of {} rows in {build_time:?} ({cores} cores)",
-        sharded.shard_count(),
-        sharded.shard_rows(),
+        "threaded build: {ROWS}x{DIMS} -> {} row blocks of {BLOCK_ROWS} rows in {build_time:?} \
+         ({cores} cores)",
+        ROWS.div_ceil(BLOCK_ROWS),
     );
 
     // Serial reference answers (and the determinism yardstick).
@@ -63,12 +65,12 @@ fn main() {
     println!("{:<22} {:>12?} {:>14.0} {:>10}", "serial columnar", serial_time, serial_qps, "-");
     for threads in [1usize, 2, cores.max(2), 2 * cores] {
         let t = Instant::now();
-        let answers = sharded.frequency_batch(&queries, threads);
+        let answers = db.frequencies_with_threads(&queries, threads);
         let elapsed = t.elapsed();
-        assert_eq!(answers, serial, "sharded answers must be bit-identical to serial answers");
+        assert_eq!(answers, serial, "threaded answers must be bit-identical to serial answers");
         println!(
             "{:<22} {:>12?} {:>14.0} {:>10}",
-            format!("sharded @{threads} threads"),
+            format!("threaded @{threads} threads"),
             elapsed,
             LOG_LEN as f64 / elapsed.as_secs_f64(),
             "yes"

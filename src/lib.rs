@@ -71,7 +71,7 @@ pub mod prelude {
         ReleaseAnswersEstimator, ReleaseAnswersIndicator, ReleaseDb, ReleaseDbBuilder, Sketch,
         SketchParams, Snapshot, StreamingBuild, Subsample, SubsampleBuilder, SubsampleParams,
     };
-    pub use ifs_database::{generators, ColumnStore, Database, Itemset, ShardedColumnStore};
+    pub use ifs_database::{generators, ColumnStore, Database, Itemset};
     pub use ifs_store::{LogOp, SketchLog, StoreError};
     pub use ifs_util::Rng64;
 }

@@ -13,7 +13,7 @@
 //! The scalar twins come from the `scalar-reference` feature of
 //! `ifs-util` (the seed implementations, kept verbatim).
 
-use itemset_sketches::database::{generators, ColumnStore, Itemset, ShardedColumnStore};
+use itemset_sketches::database::{generators, ColumnStore, Itemset};
 use itemset_sketches::util::{bits, Rng64};
 use proptest::prelude::*;
 
@@ -116,37 +116,6 @@ proptest! {
         for threads in [1usize, 2, 4] {
             prop_assert_eq!(
                 store.support_batch_with_threads(&queries, threads),
-                reference.clone(),
-                "threads={}", threads
-            );
-        }
-    }
-
-    /// Sharded batch supports agree with the unsharded store at shard
-    /// sizes that leave ragged final shards, at several thread counts.
-    #[test]
-    fn sharded_blocked_batch_matches_unsharded(
-        rows in 1usize..300,
-        shard_rows_sel in 0usize..4,
-        seed in any::<u64>(),
-    ) {
-        let mut rng = Rng64::seeded(seed);
-        let db = generators::uniform(rows, 10, 0.35, &mut rng);
-        let flat = ColumnStore::build(db.matrix());
-        // 64/128/192/320 rows per shard: none divides most row counts,
-        // so the last shard is ragged and block edges fall mid-query.
-        let shard_rows = 64 * (shard_rows_sel + 1) + 64 * shard_rows_sel;
-        let sharded = ShardedColumnStore::build_with_shard_rows(db.matrix(), shard_rows, 1);
-        let queries: Vec<Itemset> = (0..10)
-            .map(|_| {
-                let len = rng.below(5);
-                Itemset::new(rng.distinct_sorted(10, len).iter().map(|&i| i as u32).collect())
-            })
-            .collect();
-        let reference = flat.support_batch(&queries);
-        for threads in [1usize, 2, 4] {
-            prop_assert_eq!(
-                sharded.support_batch(&queries, threads),
                 reference.clone(),
                 "threads={}", threads
             );

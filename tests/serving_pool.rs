@@ -5,7 +5,7 @@
 //! over real loopback TCP against `serve_pooled`:
 //!
 //! * **Pooled served identity** — pipelined connections multiplexed onto
-//!   a fixed worker pool receive answers bit-identical to the sharded
+//!   a fixed worker pool receive answers bit-identical to the threaded
 //!   engine queried directly, at per-sketch thread counts 1 and 4:
 //!   pooling, pipelining, and cross-connection micro-batching are
 //!   execution strategies, never approximations.
@@ -64,7 +64,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases_and_seed(6, 0x900D))]
 
     /// Two pipelined connections over the pooled transport receive
-    /// bit-identical answers to the sharded engine, at 1 and 4 threads.
+    /// bit-identical answers to the threaded engine, at 1 and 4 threads.
     /// Pipeline depth 3 forces read-ahead; two connections querying the
     /// same id force cross-connection aggregation.
     #[test]

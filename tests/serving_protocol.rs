@@ -6,7 +6,7 @@
 //! entry point — the same frames a socket carries:
 //!
 //! * **Served identity** — for random databases and query logs, answers
-//!   served over the protocol are bit-identical to the sharded engine
+//!   served over the protocol are bit-identical to the threaded engine
 //!   queried directly, at per-sketch thread counts 1 and 4 (serving is an
 //!   execution strategy, never an approximation).
 //! * **Adversarial request bytes never panic** — truncation at *every*
@@ -63,7 +63,7 @@ proptest! {
     // reproducible, so a failure here can be replayed locally as-is.
     #![proptest_config(ProptestConfig::with_cases_and_seed(12, 0x5E17E))]
 
-    /// Served answers equal the sharded engine queried directly, bit for
+    /// Served answers equal the threaded engine queried directly, bit for
     /// bit, at 1 and 4 per-sketch threads, in both query modes.
     #[test]
     fn served_answers_match_the_sharded_engine(

@@ -1,13 +1,13 @@
 //! The parallel execution layer is bit-identical to the serial one.
 //!
-//! DESIGN.md §8's determinism contract: the sharded columnar engine, the
+//! DESIGN.md §8's determinism contract: the threaded columnar engine, the
 //! thread-knobbed sketches, and the threaded miners are *execution
 //! strategies*, never approximations — at every thread count they must
 //! return exactly the serial answers (same integers, same `f64` bits, same
 //! output order). These property tests (fixed case count and seed, like
 //! every suite here) drive thread counts 1–8 and adversarial row counts
-//! (0, 1, 63, 64, 65, and non-multiples of the shard size, so shard-tail
-//! words are exercised).
+//! (0, 1, 63, 64, 65, and row counts spanning several row blocks with a
+//! ragged tail, so tail words and block edges are exercised).
 //!
 //! The sketch and miner property tests build their threaded side at
 //! `env_threads()` (the `IFS_THREADS` override, default 1) plus one fixed
@@ -15,7 +15,7 @@
 //! genuinely exercise the serial and 4-worker configurations of every
 //! sketch and miner, and the contract is enforced on every push.
 
-use itemset_sketches::database::{ColumnStore, Itemset, ShardedColumnStore};
+use itemset_sketches::database::{ColumnStore, Itemset, BLOCK_ROWS};
 use itemset_sketches::prelude::*;
 use itemset_sketches::util::threads::env_threads;
 use proptest::prelude::*;
@@ -32,10 +32,12 @@ fn random_queries(d: usize, count: usize, rng: &mut Rng64) -> Vec<Itemset> {
 }
 
 /// Word-boundary-adversarial row counts: empty, single row, one under/at/
-/// over a tid word, and values that leave ragged tail shards for every
-/// shard size used below.
-const ADVERSARIAL_ROWS: [usize; 9] = [0, 1, 63, 64, 65, 127, 129, 200, 321];
+/// over a tid word, ragged tail words, and a database of two full row
+/// blocks plus a ragged third.
+const ADVERSARIAL_ROWS: [usize; 10] = [0, 1, 63, 64, 65, 127, 129, 200, 321, 2 * BLOCK_ROWS + 65];
 
+/// Threaded `Database` batches, on a view the threaded build produced,
+/// equal the serial store at every thread count.
 #[test]
 fn sharded_store_matches_serial_on_adversarial_shapes() {
     let mut rng = Rng64::seeded(0x5AD0);
@@ -44,24 +46,24 @@ fn sharded_store_matches_serial_on_adversarial_shapes() {
             let db = generators::uniform(n, d, 0.4, &mut rng);
             let serial = ColumnStore::build(db.matrix());
             let queries = random_queries(d, 20, &mut rng);
-            for shard_rows in [64usize, 128, 256] {
-                for threads in 1..=8usize {
-                    let sharded =
-                        ShardedColumnStore::build_with_shard_rows(db.matrix(), shard_rows, threads);
-                    let sup = sharded.support_batch(&queries, threads);
-                    let freq = sharded.frequency_batch(&queries, threads);
-                    for (i, t) in queries.iter().enumerate() {
-                        assert_eq!(
-                            sup[i],
-                            serial.support(t),
-                            "support n={n} d={d} sr={shard_rows} threads={threads} {t}"
-                        );
-                        assert_eq!(
-                            freq[i],
-                            serial.frequency(t),
-                            "frequency n={n} d={d} sr={shard_rows} threads={threads} {t}"
-                        );
-                    }
+            for threads in 1..=8usize {
+                // A cold copy per thread count, so the threaded batch also
+                // runs the threaded build.
+                let cold = Database::from_matrix(db.matrix().clone());
+                let sup = cold.support_batch_with_threads(&queries, threads);
+                let freq = cold.frequencies_with_threads(&queries, threads);
+                assert_eq!(cold.columns(), &serial, "build n={n} d={d} threads={threads}");
+                for (i, t) in queries.iter().enumerate() {
+                    assert_eq!(
+                        sup[i],
+                        serial.support(t),
+                        "support n={n} d={d} threads={threads} {t}"
+                    );
+                    assert_eq!(
+                        freq[i],
+                        serial.frequency(t),
+                        "frequency n={n} d={d} threads={threads} {t}"
+                    );
                 }
             }
         }
@@ -71,7 +73,7 @@ fn sharded_store_matches_serial_on_adversarial_shapes() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases_and_seed(32, 0x5A_8D))]
 
-    /// Arbitrary shapes: sharded supports/frequencies equal the row-major
+    /// Arbitrary shapes: threaded supports/frequencies equal the row-major
     /// database and serial columnar answers at every thread count.
     #[test]
     fn sharded_matches_serial_on_random_shapes(
